@@ -31,6 +31,7 @@ from repro.verify import spec as specmod
 STATE_ATTRS: Tuple[str, ...] = (
     "state", "reads", "collisions", "select",
     "_armed", "_last_accept", "_a", "_b", "_seen", "_fired",
+    "hazard_events",
 )
 
 #: Cells for which equal-(time, priority) pulses on *different* input

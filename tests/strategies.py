@@ -24,6 +24,7 @@ from repro.cells.interconnect import IdealMerger, Jtl, Merger, Splitter
 from repro.cells.logic import FirstArrival, Inverter, LastArrival
 from repro.cells.storage import Dff, Dff2, Ndro
 from repro.cells.toggle import Tff, Tff2
+from repro.core.balancer import Balancer
 from repro.encoding.epoch import EpochSpec
 from repro.pulsesim import Circuit, Simulator
 from repro.synth.generator import random_spec, spec_rng
@@ -50,6 +51,7 @@ CELLS = [
     (Inverter, ("a", "clk"), ("q",)),
     (LastArrival, ("reset", "a", "b"), ("q",)),
     (FirstArrival, ("reset", "a", "b"), ("q",)),
+    (Balancer, ("a", "b"), ("y1", "y2")),
 ]
 
 
