@@ -10,17 +10,20 @@ and a priority lookup per wire.  This module compiles all of that away
 once per netlist:
 
 * :func:`compile_circuit` translates each ``(element, input port)`` pair
-  into a small *opcode program*: a flat list whose first entry is an
-  integer kind and whose remaining entries are everything the kernel
-  needs to execute the cell's response inline — pre-summed
+  into a small *opcode program* through the lowering shared with the
+  batch kernel (:mod:`repro.pulsesim.lowering`): a flat list whose first
+  entry is an integer kind and whose remaining entries are everything the
+  kernel needs to execute the cell's response inline — pre-summed
   ``cell delay + wire delay`` offsets, the bound ``record`` methods of any
   probes on the output (empty for unprobed ports, so probe notification
   costs nothing there), and direct references to each sink's own program.
-  The standard cell library (JTL, splitter, merger, NDRO, DFF, DFF2, TFF,
-  TFF2, inverter) compiles to dedicated opcodes the run loop executes
-  without a single Python method call; anything else — custom cells,
-  fault-injection channels — compiles to a generic *call* opcode that
-  invokes the cell's ``handle`` exactly like the reference loop.
+  The sealed kernel's side of that lowering is small: the state slot is
+  the cell object itself.  Every family of the cell library runs inline
+  (JTL, splitter, merger, NDRO, DFF, DFF2, TFF, TFF2, inverter and the
+  balancer, whose opcode calls the cell's own Mealy router) except the
+  drop and jitter fault channels, whose ``random.Random`` streams live in
+  the cell.  Those and custom cells compile to a generic *call* opcode
+  that invokes the cell's ``handle`` exactly like the reference loop.
 
   Programs are mutable lists patched *in place* on recompile (e.g. when a
   probe is attached after events were scheduled), so queued events can
@@ -76,10 +79,11 @@ from __future__ import annotations
 import os
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.pulsesim.element import Element
+from repro.pulsesim.lowering import CALL, SEQ_SPAN, Lowering
 from repro.pulsesim.netlist import Circuit
 from repro.pulsesim.simulator import (
     SimulationStats,
@@ -93,30 +97,7 @@ KERNELS = ("auto", "reference", "sealed")
 #: Environment variable consulted when ``Simulator(kernel=None)``.
 KERNEL_ENV = "REPRO_KERNEL"
 
-#: Packed sort keys are ``priority * _SEQ_SPAN + sequence``; the sequence
-#: counter would need 2**48 events (years of wall clock) to overflow into
-#: the priority bits.
-_SEQ_SPAN = 1 << 48
-
 _INF = float("inf")
-
-# Opcode kinds.  The run loop dispatches on these with a two-level compare
-# chain (``kind <= 5`` first), so the numbering groups the hottest opcodes
-# for the fewest comparisons.
-_OP_CALL = 0  # [0, handle, port]                      generic cell
-_OP_DELAY1 = 1  # [1, kb, dly, nop]                      JTL, 1 wire, unprobed
-_OP_MERGER = 2  # [2, cell, dead, dq, taps, rows]        merger (dead time)
-_OP_MULTI = 3  # [3, emissions]                         splitter
-_OP_STORE1 = 4  # [4, cell]                              state = 1
-_OP_STORE0 = 5  # [5, cell]                              state = 0
-_OP_NDRO = 6  # [6, cell, dq, taps, rows]              NDRO clk
-_OP_TFF = 7  # [7, cell, dq, taps, rows]              TFF a
-_OP_DELAY1T = 8  # [8, dq, taps, kb, dly, nop]            JTL, 1 wire, probed
-_OP_DELAYN = 9  # [9, dq, taps, rows]                    JTL, general fanout
-_OP_INV = 10  # [10, cell, dq, taps, rows]             inverter clk
-_OP_DISARM = 11  # [11, cell]                             inverter a
-_OP_DFF = 12  # [12, cell, dq, taps, rows]             DFF clk / DFF2 c1,c2
-_OP_TFF2 = 13  # [13, cell, emission_q1, emission_q2]   TFF2 a
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
@@ -163,158 +144,56 @@ class CompiledTables:
         self.monotonic = monotonic
 
 
-# -- program construction ------------------------------------------------------
+class _SealedLowering(Lowering):
+    """The sealed kernel's side of the shared lowering: programs are the
+    persistent lists in ``circuit._ops``, the slot is the cell itself and
+    taps are bound ``record`` methods.  Fault channels stay on ``CALL``:
+    their ``random.Random`` streams live in the cell."""
 
+    INLINE = Lowering.INLINE - {"drop", "jitter"}
 
-def _op_of(circuit: Circuit, element: Element, port: str) -> list:
-    """The persistent program list for one ``(element, input port)``.
-
-    The same list object is reused across recompiles and patched in place,
-    so events already sitting in a queue (which reference programs
-    directly) always see current routing and probes.
-    """
-    key = (id(element), port)
-    op = circuit._ops.get(key)
-    if op is None:
-        op = []
-        circuit._ops[key] = op
-    return op
-
-
-def _taps_of(circuit: Circuit, element: Element, port: str) -> tuple:
-    return tuple(
-        tap.probe.record for tap in circuit._taps.get((id(element), port), ())
-    )
-
-
-def _rows_of(
-    circuit: Circuit, element: Element, port: str, base_delay: int
-) -> tuple:
-    """Fanout rows ``(packed_priority_base, total_delay, sink_program)``.
-
-    ``base_delay`` is folded into each row so the run loop computes the
-    arrival time with a single addition (cell delay + wire delay are
-    pre-summed for inline opcodes; emission tables pass 0 because their
-    callers receive an already-delayed emission time).
-    """
-    return tuple(
-        (
-            wire.sink.input_priority(wire.sink_port) * _SEQ_SPAN,
-            base_delay + wire.delay,
-            _op_of(circuit, wire.sink, wire.sink_port),
+    def taps_of(self, element: Element, port: str) -> tuple:
+        return tuple(
+            tap.probe.record
+            for tap in self.circuit._taps.get((id(element), port), ())
         )
-        for wire in circuit._fanout.get((id(element), port), ())
-    )
+
+    def slot_of(self, family: str, element: Element) -> Element:
+        return element
 
 
-def _emission(circuit: Circuit, cell: Element, out_port: str) -> tuple:
-    """``(delay, taps, rows)`` for one output port of a fixed-delay cell."""
-    delay = cell.delay
-    return (
-        delay,
-        _taps_of(circuit, cell, out_port),
-        _rows_of(circuit, cell, out_port, delay),
-    )
+def _deliver(sim: "SealedSimulator", row: Optional[tuple], time: int) -> None:
+    """Count, record and fan out one pulse a cell hands to ``emit``.
 
-
-def _compile_jtl(cell, port, circuit):
-    dq, taps, rows = _emission(circuit, cell, "q")
-    if len(rows) == 1:
-        kb, dly, nop = rows[0]
-        if not taps:
-            return [_OP_DELAY1, kb, dly, nop]
-        return [_OP_DELAY1T, dq, taps, kb, dly, nop]
-    return [_OP_DELAYN, dq, taps, rows]
-
-
-def _compile_splitter(cell, port, circuit):
-    return [
-        _OP_MULTI,
-        tuple(_emission(circuit, cell, out) for out in ("q1", "q2")),
-    ]
-
-
-def _compile_merger(cell, port, circuit):
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_MERGER, cell, cell.dead_time, dq, taps, rows]
-
-
-def _compile_ndro(cell, port, circuit):
-    if port == "set":
-        return [_OP_STORE1, cell]
-    if port == "reset":
-        return [_OP_STORE0, cell]
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_NDRO, cell, dq, taps, rows]
-
-
-def _compile_dff(cell, port, circuit):
-    if port == "d":
-        return [_OP_STORE1, cell]
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_DFF, cell, dq, taps, rows]
-
-
-def _compile_dff2(cell, port, circuit):
-    if port == "a":
-        return [_OP_STORE1, cell]
-    out = "y1" if port == "c1" else "y2"
-    dq, taps, rows = _emission(circuit, cell, out)
-    return [_OP_DFF, cell, dq, taps, rows]
-
-
-def _compile_tff(cell, port, circuit):
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_TFF, cell, dq, taps, rows]
-
-
-def _compile_tff2(cell, port, circuit):
-    return [
-        _OP_TFF2,
-        cell,
-        _emission(circuit, cell, "q1"),
-        _emission(circuit, cell, "q2"),
-    ]
-
-
-def _compile_inverter(cell, port, circuit):
-    if port == "a":
-        return [_OP_DISARM, cell]
-    dq, taps, rows = _emission(circuit, cell, "q")
-    return [_OP_INV, cell, dq, taps, rows]
-
-
-_inline_compilers = None
-
-
-def _inline_registry() -> dict:
-    """``handle function -> opcode compiler`` for the standard cell library.
-
-    Keyed by the *function* implementing ``handle`` so subclasses that
-    inherit behaviour (e.g. ``IdealMerger``) are covered automatically,
-    while subclasses that override ``handle`` fall back to the generic
-    call opcode.  Built lazily to keep the kernel importable before the
-    cell library.
+    ``row`` is the port's ``(taps, fan)`` emission-table entry, or None
+    for a port that goes nowhere (the pulse still counts).
     """
-    global _inline_compilers
-    if _inline_compilers is None:
-        from repro.cells.interconnect import Jtl, Merger, Splitter
-        from repro.cells.logic import Inverter
-        from repro.cells.storage import Dff, Dff2, Ndro
-        from repro.cells.toggle import Tff, Tff2
-
-        _inline_compilers = {
-            Jtl.handle: _compile_jtl,
-            Splitter.handle: _compile_splitter,
-            Merger.handle: _compile_merger,
-            Ndro.handle: _compile_ndro,
-            Dff.handle: _compile_dff,
-            Dff2.handle: _compile_dff2,
-            Tff.handle: _compile_tff,
-            Tff2.handle: _compile_tff2,
-            Inverter.handle: _compile_inverter,
-        }
-    return _inline_compilers
+    sim._pulses += 1
+    if row is None:
+        return
+    taps, fan = row
+    for record in taps:
+        record(time)
+    if fan:
+        seq = sim._sequence
+        buckets = sim._buckets
+        times = sim._times
+        for kb, delay, nop in fan:
+            arrival = time + delay
+            k = kb + seq
+            entry = (k, nop)
+            seq += 1
+            bucket = buckets.get(arrival)
+            if bucket is None:
+                buckets[arrival] = entry
+                heappush(times, arrival)
+            elif type(bucket) is list:
+                heappush(bucket, entry)
+            elif bucket[0] < k:
+                buckets[arrival] = [bucket, entry]
+            else:
+                buckets[arrival] = [entry, bucket]
+        sim._sequence = seq
 
 
 def _make_emit(element: Element, table: Dict[str, tuple]):
@@ -332,33 +211,7 @@ def _make_emit(element: Element, table: Dict[str, tuple]):
     def emit(sim, port: str, time: int) -> None:
         if sim.__class__ is not SealedSimulator:
             return sim.emit(element, port, time)
-        sim._pulses += 1
-        row = table.get(port)
-        if row is None:
-            return
-        taps, fan = row
-        for record in taps:
-            record(time)
-        if fan:
-            seq = sim._sequence
-            buckets = sim._buckets
-            times = sim._times
-            for kb, delay, nop in fan:
-                arrival = time + delay
-                k = kb + seq
-                entry = (k, nop)
-                seq += 1
-                bucket = buckets.get(arrival)
-                if bucket is None:
-                    buckets[arrival] = entry
-                    heappush(times, arrival)
-                elif type(bucket) is list:
-                    heappush(bucket, entry)
-                elif bucket[0] < k:
-                    buckets[arrival] = [bucket, entry]
-                else:
-                    buckets[arrival] = [entry, bucket]
-            sim._sequence = seq
+        _deliver(sim, table.get(port), time)
 
     return emit
 
@@ -370,50 +223,31 @@ def compile_circuit(circuit: Circuit) -> CompiledTables:
     by :meth:`Circuit.seal` and lazily by :class:`SealedSimulator` whenever
     the circuit's version is newer than the cached tables.
     """
-    registry = _inline_registry()
-    default_emit = Element.emit
+    lowering = _SealedLowering(circuit, circuit._ops)
     emit_tables = circuit._emit_tables
     ports: Dict[int, Dict[str, tuple]] = {}
     inports: Dict[int, Dict[str, tuple]] = {}
     monotonic = True
     for element in circuit.elements:
         eid = id(element)
-        etable = emit_tables.get(eid)
-        if etable is None:
-            etable = {}
-            emit_tables[eid] = etable
-        for port in element.output_names:
-            etable[port] = (
-                _taps_of(circuit, element, port),
-                _rows_of(circuit, element, port, 0),
-            )
+        etable = emit_tables.setdefault(eid, {})
+        etable.update(lowering.emit_table(element))
         ports[eid] = etable
-        compiler = None
-        if type(element).emit is default_emit:
-            compiler = registry.get(type(element).handle)
-            if compiler is None:
-                # Generic cells get the closure; inline cells never call
-                # emit under the sealed loop, and cells with a custom emit
-                # keep it (routing through SealedSimulator.emit).
-                element.emit = _make_emit(element, etable)
-        if compiler is None:
+        family, inports[eid] = lowering.lower(element)
+        if family is None:
             # A free-form handle may emit with zero latency at its own
             # timestamp, so contended buckets must stay heap-ordered.
             monotonic = False
+            # Generic cells get the closure; inline cells never call emit
+            # under the sealed loop, and cells with a custom emit keep it
+            # (routing through SealedSimulator.emit).
+            if type(element).emit is Element.emit:
+                element.emit = _make_emit(element, etable)
         elif monotonic:
             for port in element.output_names:
-                for wire in circuit._fanout.get((id(element), port), ()):
+                for wire in circuit._fanout.get((eid, port), ()):
                     if element.delay + wire.delay <= 0:
                         monotonic = False
-        table: Dict[str, tuple] = {}
-        for port in element.input_names:
-            op = _op_of(circuit, element, port)
-            if compiler is not None:
-                op[:] = compiler(element, port, circuit)
-            else:
-                op[:] = [_OP_CALL, element.handle, port]
-            table[port] = (element.input_priority(port) * _SEQ_SPAN, op)
-        inports[eid] = table
     tables = CompiledTables(circuit._version, ports, inports, monotonic)
     circuit._compiled = tables
     return tables
@@ -473,27 +307,12 @@ class SealedSimulator(Simulator):
         # call.  An arbitrary handle voids the zero-latency-free proof.
         priority = element.input_priority(port)
         tables.monotonic = False
-        return (priority * _SEQ_SPAN, [_OP_CALL, element.handle, port])
+        return (priority * SEQ_SPAN, [CALL, element, port])
 
     # -- scheduling ----------------------------------------------------------
     def schedule_input(self, element: Element, port: str, time: int) -> None:
         """Inject an external stimulus pulse at ``element.port``."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule pulse at negative time {time}")
-        kb, op = self._inport(element, port)
-        k = kb + self._sequence
-        entry = (k, op)
-        self._sequence += 1
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = entry
-            heappush(self._times, time)
-        elif type(bucket) is list:
-            heappush(bucket, entry)
-        elif bucket[0] < k:
-            self._buckets[time] = [bucket, entry]
-        else:
-            self._buckets[time] = [entry, bucket]
+        self.schedule_train(element, port, (time,))
 
     def schedule_train(self, element: Element, port: str, times) -> None:
         """Batch-inject a stimulus train: program resolved once."""
@@ -537,33 +356,7 @@ class SealedSimulator(Simulator):
         kernel, count the pulse and go nowhere).
         """
         table = self._tables().ports.get(id(source))
-        row = table.get(port) if table is not None else None
-        self._pulses += 1
-        if row is None:
-            return
-        taps, fan = row
-        for record in taps:
-            record(time)
-        if fan:
-            seq = self._sequence
-            buckets = self._buckets
-            theap = self._times
-            for kb, delay, nop in fan:
-                arrival = time + delay
-                k = kb + seq
-                entry = (k, nop)
-                seq += 1
-                bucket = buckets.get(arrival)
-                if bucket is None:
-                    buckets[arrival] = entry
-                    heappush(theap, arrival)
-                elif type(bucket) is list:
-                    heappush(bucket, entry)
-                elif bucket[0] < k:
-                    buckets[arrival] = [bucket, entry]
-                else:
-                    buckets[arrival] = [entry, bucket]
-            self._sequence = seq
+        _deliver(self, table.get(port) if table is not None else None, time)
 
     # -- execution -----------------------------------------------------------
     def _run(self, until: Optional[int] = None) -> SimulationStats:
@@ -741,7 +534,7 @@ class SealedSimulator(Simulator):
                             stats.events_processed = events
                             stats.pulses_emitted = pulses
                             try:
-                                op[1](self, op[2], t)
+                                op[1].handle(self, op[2], t)
                             finally:
                                 seq = self._sequence
                                 pulses = self._pulses
@@ -750,7 +543,29 @@ class SealedSimulator(Simulator):
                         else:  # STORE0: NDRO reset
                             op[1].state = 0
                     else:
-                        if kind == 6:  # NDRO clk
+                        if kind == 6:  # BAL: routed by the cell's own Mealy machine
+                            dq, taps, rows = op[5][op[1]._router.route(op[2], t)]
+                            pulses += 1
+                            if taps:
+                                ot = t + dq
+                                for record in taps:
+                                    record(ot)
+                            for kb, dly, nop in rows:
+                                arrival = t + dly
+                                k = kb + seq
+                                entry = (k, nop)
+                                seq += 1
+                                b = bget(arrival)
+                                if b is None:
+                                    buckets[arrival] = entry
+                                    push(times, arrival)
+                                elif type(b) is list:
+                                    bpush(b, entry)
+                                elif b[0] < k:
+                                    buckets[arrival] = [b, entry]
+                                else:
+                                    buckets[arrival] = [entry, b]
+                        elif kind == 7:  # NDRO clk
                             cell = op[1]
                             cell.reads += 1
                             if cell.state:
@@ -775,7 +590,7 @@ class SealedSimulator(Simulator):
                                         buckets[arrival] = [b, entry]
                                     else:
                                         buckets[arrival] = [entry, b]
-                        elif kind == 7:  # TFF: emit every second pulse
+                        elif kind == 8:  # TFF: emit every second pulse
                             cell = op[1]
                             state = cell.state ^ 1
                             cell.state = state
@@ -801,7 +616,7 @@ class SealedSimulator(Simulator):
                                         buckets[arrival] = [b, entry]
                                     else:
                                         buckets[arrival] = [entry, b]
-                        elif kind == 8:  # DELAY1T: probed single-wire JTL
+                        elif kind == 9:  # DELAY1T: probed single-wire JTL
                             _k, dq, taps, kb, dly, nop = op
                             pulses += 1
                             ot = t + dq
@@ -821,7 +636,7 @@ class SealedSimulator(Simulator):
                                 buckets[arrival] = [b, entry]
                             else:
                                 buckets[arrival] = [entry, b]
-                        elif kind == 9:  # DELAYN: JTL with 0 or 2+ wires
+                        elif kind == 10:  # DELAYN: JTL with 0 or 2+ wires
                             _k, dq, taps, rows = op
                             pulses += 1
                             if taps:
@@ -843,7 +658,7 @@ class SealedSimulator(Simulator):
                                     buckets[arrival] = [b, entry]
                                 else:
                                     buckets[arrival] = [entry, b]
-                        elif kind == 10:  # INV: inverter clk
+                        elif kind == 11:  # INV: inverter clk
                             cell = op[1]
                             if cell._armed:
                                 pulses += 1
@@ -869,9 +684,9 @@ class SealedSimulator(Simulator):
                                         buckets[arrival] = [entry, b]
                             else:
                                 cell._armed = True
-                        elif kind == 11:  # DISARM: inverter a
+                        elif kind == 12:  # DISARM: inverter a
                             op[1]._armed = False
-                        elif kind == 12:  # DFF clk / DFF2 c1,c2
+                        elif kind == 13:  # DFF clk / DFF2 c1,c2
                             cell = op[1]
                             if cell.state:
                                 cell.state = 0
@@ -896,12 +711,9 @@ class SealedSimulator(Simulator):
                                         buckets[arrival] = [b, entry]
                                     else:
                                         buckets[arrival] = [entry, b]
-                        elif kind == 13:  # TFF2: alternate q1 / q2
+                        elif kind == 14:  # TFF2: alternate q1 / q2
                             cell = op[1]
-                            if cell.state == 0:
-                                dq, taps, rows = op[2]
-                            else:
-                                dq, taps, rows = op[3]
+                            dq, taps, rows = op[2][cell.state]
                             cell.state ^= 1
                             pulses += 1
                             if taps:

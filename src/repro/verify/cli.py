@@ -13,13 +13,14 @@ Usage::
 Exit codes: 0 when every oracle held on every example (or every replayed
 corpus entry passed), 1 when a discrepancy was found (shrunk
 counterexamples are saved under ``--corpus-dir``), 2 for unusable
-arguments.
+arguments, including a ``--replay`` path that is not a directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -150,6 +151,11 @@ def _fuzz(args: argparse.Namespace) -> int:
 
 
 def _replay(args: argparse.Namespace) -> int:
+    # A mistyped or moved corpus path must not replay "clean".
+    if not os.path.isdir(args.replay):
+        exists = os.path.exists(args.replay)
+        problem = "is not a directory" if exists else "does not exist"
+        raise VerificationError(f"--replay {args.replay}: {problem}")
     outcomes = replay_corpus(args.replay)
     if args.json:
         print(json.dumps(outcomes, indent=2))

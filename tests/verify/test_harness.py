@@ -180,8 +180,15 @@ def test_cli_replay_modes(tmp_path, capsys):
     assert main(["--replay", str(corpus_dir), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload and all(outcome["ok"] for outcome in payload)
-    # Empty corpus replays clean.
+    # An existing empty corpus replays clean.
+    (tmp_path / "empty").mkdir()
     assert main(["--replay", str(tmp_path / "empty")]) == 0
+    # A missing path, or a file, is a usage error rather than a pass.
+    assert main(["--replay", str(tmp_path / "missing")]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    (tmp_path / "file").write_text("")
+    assert main(["--replay", str(tmp_path / "file")]) == 2
+    assert "is not a directory" in capsys.readouterr().err
 
 
 def test_committed_corpus_replays_clean():
