@@ -117,8 +117,11 @@ def default_cell_registry() -> Dict[str, Type[Element]]:
     """Cell classes :func:`import_netlist` can instantiate, keyed by the
     ``type`` name :func:`netlist_description` emits.
 
-    Covers the whole standard-cell library (:mod:`repro.cells`) and the
-    fault channels (:mod:`repro.pulsesim.faults`).  Callers with custom
+    Covers the whole standard-cell library (:mod:`repro.cells`), the
+    fault channels (:mod:`repro.pulsesim.faults`) and the composite cells
+    the accelerator blocks instantiate (the counting-network
+    :class:`~repro.core.balancer.Balancer`, the FIR delay line's
+    :class:`~repro.core.buffer.RlMemoryCell`).  Callers with custom
     cells pass ``registry={**default_cell_registry(), "MyCell": MyCell}``.
     """
     from repro.cells.bff import Bff
@@ -129,12 +132,15 @@ def default_cell_registry() -> Dict[str, Type[Element]]:
     from repro.cells.noc import NocLink
     from repro.cells.storage import Dff, Dff2, Ndro
     from repro.cells.toggle import Tff, Tff2
+    from repro.core.balancer import Balancer
+    from repro.core.buffer import RlMemoryCell
     from repro.pulsesim.faults import DropChannel, JitterChannel
 
     classes = (
         Bff, ClockedAnd, ClockedOr, ClockedXor, IdealMerger, Jtl, Merger,
         Splitter, FirstArrival, Inverter, LastArrival, Demux, Mux, Dff,
         Dff2, Ndro, Tff, Tff2, DropChannel, JitterChannel, NocLink,
+        Balancer, RlMemoryCell,
     )
     return {cls.__name__: cls for cls in classes}
 

@@ -69,6 +69,7 @@ KIND_WEIGHTS: Tuple[Tuple[str, int], ...] = (
     ("ClockedAnd", 1),
     ("ClockedOr", 1),
     ("ClockedXor", 1),
+    ("Balancer", 1),
 )
 
 

@@ -38,8 +38,10 @@ STATE_ATTRS: Tuple[str, ...] = (
 #: ports steer observably different outputs depending on engine-assigned
 #: sequence numbers.  Transformations that add or remove events (channel
 #: splices) legitimately perturb that order, so order-sensitive circuits
-#: are out of scope for those oracles.
-TIE_ORDER_SENSITIVE = frozenset({"Bff", "Dff2", "Mux", "Demux"})
+#: are out of scope for those oracles.  The balancer belongs here like its
+#: BFF routing unit: simultaneous ``a``/``b`` pulses pair up or hit the
+#: t_BFF hazard depending on which one the engine pops first.
+TIE_ORDER_SENSITIVE = frozenset({"Bff", "Balancer", "Dff2", "Mux", "Demux"})
 
 #: The time-shift applied by the shift-equivariance oracle (fs).
 SHIFT_DELTA = 7_000

@@ -10,6 +10,7 @@ seeded campaign and corpus entry.
 
 import pytest
 
+from repro.verify import generator
 from repro.verify.generator import example_rng, generate_spec, profile
 
 #: ``profile/seed/example`` -> NetlistSpec.key() of the generated spec,
@@ -54,9 +55,43 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(DIGESTS))
-def test_generated_spec_keys_are_byte_stable(case):
+#: The draw table the digests above were captured with: every kind but
+#: the balancer, which was appended to ``KIND_WEIGHTS`` later.
+LEGACY_WEIGHTS = tuple(
+    entry for entry in generator.KIND_WEIGHTS if entry[0] != "Balancer"
+)
+
+#: Keys of the cases whose draw reaches the balancer under the current
+#: table; every other case keeps its legacy key.
+BALANCER_DIGESTS = {
+    "ci/0/1": "574e5a8a7492",
+    "ci/1/3": "54136e847e0e",
+    "ci/7/1": "ebb0af857a33",
+    "nightly/0/3": "07d0b7910f5c",
+    "nightly/1/1": "491b23bda547",
+    "nightly/1/3": "8e6522ece6f8",
+    "nightly/7/1": "7a19b54f8ae6",
+}
+
+
+def _generate(case):
     prof_name, seed, example = case.split("/")
-    spec = generate_spec(example_rng(int(seed), int(example)),
+    return generate_spec(example_rng(int(seed), int(example)),
                          profile(prof_name))
-    assert spec.key() == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_generated_spec_keys_are_byte_stable(case, monkeypatch):
+    monkeypatch.setattr(generator, "KIND_WEIGHTS", LEGACY_WEIGHTS)
+    assert _generate(case).key() == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS))
+def test_balancer_draw_changes_only_the_specs_that_draw_it(case):
+    """The balancer sits last in the draw table, so adding it left the
+    stream of every spec that does not draw one byte-identical."""
+    assert generator.KIND_WEIGHTS[-1][0] == "Balancer"
+    spec = _generate(case)
+    assert spec.key() == BALANCER_DIGESTS.get(case, DIGESTS[case])
+    draws_balancer = any(cell.kind == "Balancer" for cell in spec.cells)
+    assert draws_balancer == (case in BALANCER_DIGESTS)

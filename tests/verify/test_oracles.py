@@ -43,7 +43,7 @@ def test_merger_commutativity_inapplicable_without_mergers():
 
 
 def test_identity_oracles_gate_on_tie_order_sensitive_cells():
-    assert TIE_ORDER_SENSITIVE == {"Bff", "Dff2", "Mux", "Demux"}
+    assert TIE_ORDER_SENSITIVE == {"Bff", "Balancer", "Dff2", "Mux", "Demux"}
     spec = NetlistSpec(
         cells=(
             CellSpec("Splitter", (WireSpec(0),)),
@@ -56,6 +56,13 @@ def test_identity_oracles_gate_on_tie_order_sensitive_cells():
     result = oracle_drop_identity(spec)
     assert result.ok and not result.applicable
     assert "tie-order" in result.detail
+    # Simultaneous a/b pulses pair up or hit the t_BFF hazard by pop order.
+    balancer = NetlistSpec(
+        cells=(CellSpec("Balancer", (WireSpec(0), WireSpec(1))),),
+        stimulus=(0, 0),
+    )
+    result = oracle_drop_identity(balancer)
+    assert result.ok and not result.applicable
 
 
 def test_kernel_differential_catches_a_reference_only_defect():
