@@ -10,18 +10,28 @@ must sustain at least 50x the aggregate events/s of the scalar sealed
 kernel on this fabric.  ``check_regression.py`` re-derives the same floor
 from the benchmark JSON (``extra_info["events"]`` / median), so the gate
 also holds across the committed baseline.
+
+The other end of the range is the serving shape: one ``dpu.dot`` request
+is a one-lane dispatch, and ``test_batch_event_mode_small_batch`` keeps
+it within a small multiple of the scalar sealed kernel.
 """
 
+import random
 from time import perf_counter
 
 import numpy as np
+import pytest
 
+from repro.core.dpu import DotProductUnit
+from repro.encoding.epoch import EpochSpec
 from repro.pulsesim import BatchSimulator, Simulator
 from repro.pulsesim.schedule import uniform_stream_times_batch
 from test_microbench_kernels import _FABRIC_LANES, _build_stream_fabric
 
 _BATCH = 1024
 _SPEEDUP_FLOOR = 50.0
+#: A one-lane DPU dispatch may cost at most this many scalar sealed runs.
+_SMALL_BATCH_CEILING = 3.0
 _N_MAX = 4_096
 _SLOT_FS = 12_000
 
@@ -87,6 +97,46 @@ def test_batch_event_mode_stays_vectorized(benchmark):
     stats = benchmark(run)
     assert stats.mode == "event"
     assert stats.events_total > 100_000
+
+
+def _best_of(runs, fn):
+    best = float("inf")
+    for _ in range(runs):
+        start = perf_counter()
+        fn()
+        best = min(best, perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("lanes", [1, 8])
+def test_batch_event_mode_small_batch(benchmark, lanes):
+    """The serving shape: one DPU dispatch (bits 5, L 8, bipolar) at one
+    and eight lanes, through the event loop like every ``dpu.dot``.
+
+    Guards the small-batch cliff in-test: a one-lane dispatch must stay
+    within ``_SMALL_BATCH_CEILING`` times the scalar sealed ``run_counts``
+    of the same operands (best of 5 each, same process).
+    """
+    dpu = DotProductUnit(EpochSpec(bits=5), length=8, bipolar=True)
+    rng = random.Random(20221018 + lanes)
+    rows = [
+        [[rng.randrange(dpu.epoch.n_max + 1) for _ in range(dpu.length)]
+         for _ in range(lanes)]
+        for _side in ("a", "b")
+    ]
+    counts = benchmark(dpu.run_counts_batch, *rows)
+    assert counts.tolist() == [dpu.run_counts(a, b) for a, b in zip(*rows)]
+    if lanes == 1:
+        scalar_s = _best_of(5, lambda: dpu.run_counts(rows[0][0], rows[1][0]))
+        batch_s = _best_of(5, lambda: dpu.run_counts_batch(*rows))
+        print(
+            f"\none-lane DPU dispatch: batch {batch_s * 1e3:.2f} ms, "
+            f"sealed {scalar_s * 1e3:.2f} ms -> {batch_s / scalar_s:.2f}x"
+        )
+        assert batch_s <= _SMALL_BATCH_CEILING * scalar_s, (
+            f"one-lane batch dispatch {batch_s / scalar_s:.1f}x the scalar "
+            f"sealed run (ceiling {_SMALL_BATCH_CEILING}x)"
+        )
 
 
 def test_batch_speedup_floor_at_1024_lanes():
