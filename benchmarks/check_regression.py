@@ -466,9 +466,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=4.0,
         metavar="X",
         help="required coalesced-vs-solo requests/s ratio for every "
-        "*_serve_coalesced / *_serve_solo pair (default: 4.0 — well "
-        "below the ~10-18x a quiet machine shows, see results/serve; "
-        "skipped when the run contains no serve benchmarks)",
+        "*_serve_coalesced / *_serve_solo pair (default: 4.0; see "
+        "results/serve for the measured ratios; skipped when the run "
+        "contains no serve benchmarks)",
     )
     parser.add_argument(
         "--max-trace-overhead",
